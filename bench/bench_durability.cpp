@@ -8,7 +8,9 @@
 //
 // Emits BENCH_durability.json (next to the binary, or argv[1]). Exit 1
 // when the overhead at the largest tenant count exceeds the 5% budget
-// (run Release on a quiet machine before trusting a failure).
+// (run Release on a quiet machine before trusting a failure), or when a
+// run did no work — executed no tenant event or committed no repair — so
+// the budget can never pass on an idle run.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -21,6 +23,7 @@
 #include "durability/io.hpp"
 #include "durability/plane.hpp"
 #include "sim/scenario_registry.hpp"
+#include "util/annotations.hpp"
 
 #include "bench_output.hpp"
 
@@ -43,7 +46,9 @@ struct RunResult {
   /// (encode + buffer + write + fdatasync + snapshot I/O) during this run.
   double plane_wall_s = 0.0;
   std::uint64_t events = 0;
+  std::uint64_t shard_events = 0;  ///< tenant events (the coordinator's)
   std::uint64_t repairs = 0;
+  std::uint64_t committed = 0;
   std::uint64_t journal_bytes = 0;
   std::uint64_t journal_records = 0;
 };
@@ -82,14 +87,19 @@ RunResult run_once(int tenants, const std::string& durable_dir) {
       sim, make_options(tenants, durable_dir));
   fleet->start();
   const auto t0 = Clock::now();
-  sim.run_until(SimTime::seconds(kHorizonS));
+  fleet->run_until(SimTime::seconds(kHorizonS));
   const auto t1 = Clock::now();
 
   RunResult r;
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.events = sim.executed();
+  r.shard_events = fleet->coordinator()->stats().shard_events;
+  r.events = sim.executed() + r.shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
-    r.repairs += fleet->tenant(t).framework->engine().records().size();
+    core::FleetTenant& tenant = fleet->tenant(t);
+    util::SerialLane in_lane(tenant.lane());
+    const repair::RepairEngine& engine = tenant.framework->engine();
+    r.repairs += engine.records().size();
+    r.committed += engine.stats().committed;
   }
   if (durability::DurabilityPlane* plane = fleet->durability_plane()) {
     r.plane_wall_s = plane->wall_s();
@@ -156,7 +166,8 @@ int main(int argc, char** argv) {
          << "      \"plain_events\": " << row.plain.events << ",\n"
          << "      \"durable_events\": " << row.durable.events << ",\n"
          << "      \"plain_repairs\": " << row.plain.repairs << ",\n"
-         << "      \"durable_repairs\": " << row.durable.repairs << "\n"
+         << "      \"durable_repairs\": " << row.durable.repairs << ",\n"
+         << "      \"durable_committed\": " << row.durable.committed << "\n"
          << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
@@ -171,6 +182,15 @@ int main(int argc, char** argv) {
               << "% measured overhead, " << row.durable.journal_bytes
               << " journal bytes, " << row.durable.journal_records
               << " records)\n";
+    for (const RunResult* run : {&row.plain, &row.durable}) {
+      if (run->shard_events == 0 || run->committed == 0) {
+        std::cout << "FAIL: a " << row.tenants << "-tenant run executed "
+                  << run->shard_events << " tenant events and committed "
+                  << run->committed
+                  << " repairs — an idle run cannot measure the plane\n";
+        pass = false;
+      }
+    }
     if (row.durable.repairs != row.plain.repairs) {
       std::cout << "WARNING: durable run changed repair count ("
                 << row.durable.repairs << " vs " << row.plain.repairs

@@ -1,21 +1,25 @@
 // Fleet scaling for the sharded simulation kernel: the same coordinated
-// fleet run serial (sim_threads = 0, the legacy single event loop hosting
-// every tenant) and sharded (per-tenant sub-simulators advanced in
-// conservative time windows) at 1 / 2 / 4 / 8 worker threads.
+// fleet (per-tenant sub-simulators advanced in conservative time windows)
+// at 1 / 2 / 4 / 8 worker threads. Speedups are parallel efficiency
+// against the kernel's own 1-thread run — the fastest single-threaded
+// path there is.
 //
 // Two scenario sizes: fleet-4x16 with 8 tenants (the CI gate size) and
 // fleet-64x256 (the scale target: 64 tenants x 256 clients, DESIGN.md §9)
 // on a compressed horizon. For every scenario the bench also fingerprints
-// each sharded run — repairs, models, event counts — and fails if any
-// thread count perturbs a single bit (the determinism contract).
+// each run — repairs, models, event counts — and fails if any thread count
+// perturbs a single bit (the determinism contract).
 //
-// Emits BENCH_fleet.json (next to the binary, or argv[1]). Speedup gates
-// are hardware-aware: wall-clock targets are only enforced when the host
-// actually has the cores (hw_concurrency >= 4); a 1-core container still
-// runs everything and enforces determinism, but records gates_enforced =
-// false instead of failing on physics. On CI's 4-vCPU Release runners the
-// gates are real: fleet-4x16 must reach 2x at 4 threads and fleet-64x256
-// must reach 3x at 4+ threads, both vs the serial kernel.
+// Repetitions are interleaved (rep 1 at every thread count, then rep 2,
+// ...) so a load spike on the host lands on all thread counts alike, and
+// every speedup is a ratio of medians. Emits BENCH_fleet.json (next to the
+// binary, or argv[1]) with each cell's median and min/max wall time.
+// Speedup gates are hardware-aware: wall-clock targets are only enforced
+// when the host actually has the cores (hw_concurrency >= 4); a 1-core
+// container still runs everything and enforces determinism, but records
+// gates_enforced = false instead of failing on physics. On CI's 4-vCPU
+// Release runners the gates are real: fleet-4x16 must reach 2x at 4
+// threads and fleet-64x256 must reach 3x at 4+ threads, both vs 1 thread.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -48,8 +52,10 @@ struct ScenarioSpec {
 };
 
 struct Cell {
-  std::size_t sim_threads = 0;  // 0 = legacy serial kernel
-  double wall_s = 0.0;
+  std::size_t sim_threads = 1;
+  double wall_s = 0.0;  ///< median over reps (run_once: the one run)
+  double min_wall_s = 0.0;
+  double max_wall_s = 0.0;
   std::uint64_t events = 0;
   std::uint64_t repairs = 0;
   std::uint64_t fingerprint = 0;
@@ -122,10 +128,7 @@ Cell run_once(const ScenarioSpec& spec, std::size_t sim_threads) {
   Cell c;
   c.sim_threads = sim_threads;
   c.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  c.events = sim.executed();
-  if (fleet->coordinator()) {
-    c.events += fleet->coordinator()->stats().shard_events;
-  }
+  c.events = sim.executed() + fleet->coordinator()->stats().shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
     core::FleetTenant& tenant = fleet->tenant(t);
     util::SerialLane in_lane(tenant.lane());
@@ -135,24 +138,49 @@ Cell run_once(const ScenarioSpec& spec, std::size_t sim_threads) {
   return c;
 }
 
-Cell run_best(const ScenarioSpec& spec, std::size_t sim_threads) {
-  // The simulation is deterministic — every rep produces identical events,
-  // repairs, and fingerprints — so only the wall clock varies; report the
-  // minimum.
-  Cell best;
-  for (int rep = 0; rep < spec.reps; ++rep) {
-    Cell c = run_once(spec, sim_threads);
-    if (rep == 0 || c.wall_s < best.wall_s) best = c;
-  }
-  return best;
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 struct ScenarioResult {
   ScenarioSpec spec;
-  Cell serial;              // sim_threads = 0, legacy kernel
-  std::vector<Cell> cells;  // sharded, 1 / 2 / 4 / 8 threads
+  std::vector<Cell> cells;  // 1 / 2 / 4 / 8 threads; cells[0] is 1 thread
   bool deterministic = true;
 };
+
+/// Every thread count once per rep, reps interleaved. The simulation is
+/// deterministic — every rep produces identical events, repairs, and
+/// fingerprints — so only the wall clock varies; each cell reports its
+/// median and spread.
+ScenarioResult run_scenario(const ScenarioSpec& spec,
+                            const std::vector<std::size_t>& thread_counts) {
+  ScenarioResult res;
+  res.spec = spec;
+  std::vector<std::vector<double>> walls(thread_counts.size());
+  for (int rep = 0; rep < spec.reps; ++rep) {
+    std::cout << "bench_fleet_scaling: " << spec.name << " x" << spec.tenants
+              << " tenants, rep " << rep + 1 << "/" << spec.reps << "..."
+              << std::endl;
+    for (std::size_t k = 0; k < thread_counts.size(); ++k) {
+      const Cell c = run_once(spec, thread_counts[k]);
+      walls[k].push_back(c.wall_s);
+      if (rep == 0) res.cells.push_back(c);
+      const Cell& ref = res.cells.front();
+      if (c.fingerprint != ref.fingerprint || c.events != ref.events) {
+        res.deterministic = false;
+      }
+    }
+  }
+  for (std::size_t k = 0; k < res.cells.size(); ++k) {
+    Cell& c = res.cells[k];
+    c.wall_s = median(walls[k]);
+    c.min_wall_s = *std::min_element(walls[k].begin(), walls[k].end());
+    c.max_wall_s = *std::max_element(walls[k].begin(), walls[k].end());
+  }
+  return res;
+}
 
 }  // namespace
 
@@ -162,30 +190,13 @@ int main(int argc, char** argv) {
   const unsigned hw = std::thread::hardware_concurrency();
   const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
   const std::vector<ScenarioSpec> specs = {
-      {"fleet-4x16", 8, 120.0, 3},
-      {"fleet-64x256", 64, 45.0, 2},
+      {"fleet-4x16", 8, 120.0, 5},
+      {"fleet-64x256", 64, 45.0, 3},
   };
 
   std::vector<ScenarioResult> results;
   for (const ScenarioSpec& spec : specs) {
-    ScenarioResult res;
-    res.spec = spec;
-    std::cout << "bench_fleet_scaling: " << spec.name << " x" << spec.tenants
-              << " tenants, serial kernel...\n";
-    res.serial = run_best(spec, 0);
-    for (std::size_t threads : thread_counts) {
-      std::cout << "bench_fleet_scaling: " << spec.name << " x"
-                << spec.tenants << " tenants, sharded " << threads
-                << " thread" << (threads == 1 ? "" : "s") << "...\n";
-      res.cells.push_back(run_best(spec, threads));
-    }
-    for (const Cell& c : res.cells) {
-      if (c.fingerprint != res.cells.front().fingerprint ||
-          c.events != res.cells.front().events) {
-        res.deterministic = false;
-      }
-    }
-    results.push_back(std::move(res));
+    results.push_back(run_scenario(spec, thread_counts));
   }
 
   // Wall-clock gates only bind where the host has the cores to honor them;
@@ -202,9 +213,7 @@ int main(int argc, char** argv) {
          << "      \"name\": \"" << res.spec.name << "\",\n"
          << "      \"tenants\": " << res.spec.tenants << ",\n"
          << "      \"horizon_sim_s\": " << res.spec.horizon_s << ",\n"
-         << "      \"serial_wall_s\": " << res.serial.wall_s << ",\n"
-         << "      \"serial_events\": " << res.serial.events << ",\n"
-         << "      \"serial_repairs\": " << res.serial.repairs << ",\n"
+         << "      \"reps\": " << res.spec.reps << ",\n"
          << "      \"deterministic\": "
          << (res.deterministic ? "true" : "false") << ",\n"
          << "      \"cells\": [\n";
@@ -212,7 +221,10 @@ int main(int argc, char** argv) {
       const Cell& c = res.cells[k];
       json << "        {\"sim_threads\": " << c.sim_threads
            << ", \"wall_s\": " << c.wall_s
-           << ", \"speedup_vs_serial\": " << res.serial.wall_s / c.wall_s
+           << ", \"min_wall_s\": " << c.min_wall_s
+           << ", \"max_wall_s\": " << c.max_wall_s
+           << ", \"speedup_vs_1_thread\": "
+           << res.cells.front().wall_s / c.wall_s
            << ", \"events\": " << c.events << ", \"repairs\": " << c.repairs
            << "}" << (k + 1 < res.cells.size() ? "," : "") << "\n";
     }
@@ -223,14 +235,15 @@ int main(int argc, char** argv) {
 
   bool pass = true;
   for (const ScenarioResult& res : results) {
-    std::cout << res.spec.name << ": serial " << res.serial.wall_s
-              << " s (" << res.serial.events << " events, "
-              << res.serial.repairs << " repairs)\n";
+    const Cell& one = res.cells.front();
+    std::cout << res.spec.name << ": " << one.events << " events, "
+              << one.repairs << " repairs; median of " << res.spec.reps
+              << " interleaved reps\n";
     for (const Cell& c : res.cells) {
       std::cout << "  " << c.sim_threads << " thread"
                 << (c.sim_threads == 1 ? " " : "s") << ": " << c.wall_s
-                << " s  (" << res.serial.wall_s / c.wall_s
-                << "x vs serial)\n";
+                << " s [" << c.min_wall_s << ", " << c.max_wall_s << "]  ("
+                << one.wall_s / c.wall_s << "x vs 1 thread)\n";
     }
     if (!res.deterministic) {
       std::cout << "FAIL: " << res.spec.name
@@ -241,7 +254,7 @@ int main(int argc, char** argv) {
     if (gates_enforced) {
       double at4 = 0.0, best_4plus = 0.0;
       for (const Cell& c : res.cells) {
-        const double speedup = res.serial.wall_s / c.wall_s;
+        const double speedup = one.wall_s / c.wall_s;
         if (c.sim_threads == 4) at4 = speedup;
         if (c.sim_threads >= 4 && c.sim_threads <= hw) {
           best_4plus = std::max(best_4plus, speedup);

@@ -20,6 +20,8 @@ FleetManager::~FleetManager() { stop(); }
 FleetManager::ShardId FleetManager::add_shard(std::string name,
                                               ArchitectureManager& manager,
                                               events::EventBus& gauge_bus,
+                                              sim::Simulator& clock,
+                                              std::uintptr_t lane,
                                               sim::NodeId manager_node) {
   serial_.check();
   if (started_) throw Error("FleetManager: add_shard after start");
@@ -29,17 +31,10 @@ FleetManager::ShardId FleetManager::add_shard(std::string name,
   shard.manager = &manager;
   shard.bus = &gauge_bus;
   shard.manager_node = manager_node;
-  shard.clock = &sim_;  // legacy default; bind_shard_executor overrides
+  shard.clock = &clock;
+  shard.lane = lane;
   shards_.push_back(std::move(shard));
   return shards_.size() - 1;
-}
-
-void FleetManager::bind_shard_executor(ShardId id, sim::Simulator* clock,
-                                       std::uintptr_t lane) {
-  serial_.check();
-  if (started_) throw Error("FleetManager: bind_shard_executor after start");
-  shards_[id].clock = clock;
-  shards_[id].lane = lane;
 }
 
 void FleetManager::start() {

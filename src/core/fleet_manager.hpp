@@ -1,7 +1,7 @@
-// Fleet-scale adaptation (the ROADMAP's many-tenant north star): one
-// simulator hosts N independent tenant applications, each with its own
-// architectural model *shard* (an ArchitectureManager in passive mode), and
-// a single FleetManager coordinates the control loop across all of them:
+// Fleet-scale adaptation: N independent tenant applications, each with its
+// own architectural model *shard* (an ArchitectureManager in passive mode),
+// and a single FleetManager coordinating the control loop across all of
+// them:
 //
 //   * batched gauge application — reports landing on a shard's gauge bus
 //     within a coalescing window are applied in one model pass; reports for
@@ -20,10 +20,9 @@
 // Violation dispatch — and therefore every repair, every model mutation,
 // every scheduled simulator event — happens afterwards on the simulation
 // thread in fixed shard order. A fleet run is bit-for-bit identical for any
-// sweep_threads value — and, under the sharded kernel (core::Fleet with
-// sim_threads > 0, DESIGN.md §9), for any simulation-thread count: shard
-// windows are serial per shard and the sweep runs at barriers where every
-// clock agrees.
+// sweep_threads value — and, under the sharded kernel (core::Fleet,
+// DESIGN.md §9), for any simulation-thread count: shard windows are serial
+// per shard and the sweep runs at barriers where every clock agrees.
 #pragma once
 
 #include <array>
@@ -134,14 +133,21 @@ class FleetManager {
   FleetManager(const FleetManager&) = delete;
   FleetManager& operator=(const FleetManager&) = delete;
 
-  /// Register a shard: its (passive) architecture manager and the gauge bus
-  /// its tenant's monitoring reports on. `manager_node` is where the
-  /// tenant's control loop runs — reports cross the simulated network to
-  /// it, exactly as they would to a non-fleet ArchitectureManager. Shard
-  /// ids are dense, in registration order — which is also the
-  /// deterministic dispatch order.
+  /// Register a shard: its (passive) architecture manager, the gauge bus
+  /// its tenant's monitoring reports on, and its executor — the `clock`
+  /// its tenant events run on (core::Fleet passes the tenant's
+  /// ShardSimulator) inside logical lane `lane`. Report enqueueing,
+  /// coalescing timers, and liveness stamps use that clock — which leads
+  /// the control clock mid-window — and the per-shard SerialDomain keys on
+  /// the lane, so windows may migrate between pool workers. A standalone
+  /// manager passes its own simulator and lane 0 (thread-keyed).
+  /// `manager_node` is where the tenant's control loop runs — reports cross
+  /// the simulated network to it, exactly as they would to a non-fleet
+  /// ArchitectureManager. Shard ids are dense, in registration order —
+  /// which is also the deterministic dispatch order. Call before start().
   ShardId add_shard(std::string name, ArchitectureManager& manager,
-                    events::EventBus& gauge_bus,
+                    events::EventBus& gauge_bus, sim::Simulator& clock,
+                    std::uintptr_t lane,
                     sim::NodeId manager_node = sim::kNoNode);
 
   /// Subscribe the report sinks and arm the periodic sweep.
@@ -154,17 +160,6 @@ class FleetManager {
     return shards_[id].stats;
   }
   ShardHealth shard_health(ShardId id) const { return shards_[id].health; }
-
-  /// Sharded-kernel binding (core::Fleet with sim_threads > 0): shard `id`'s
-  /// tenant events run on `clock` (its ShardSimulator) inside logical lane
-  /// `lane`. Report enqueueing, coalescing timers, and liveness stamps then
-  /// use the shard clock — which leads the control clock mid-window — and
-  /// the per-shard SerialDomain keys on the lane, so windows may migrate
-  /// between pool workers. Unbound shards (legacy single-simulator fleets)
-  /// keep clock = the control simulator and lane = 0 (thread-keyed). Call
-  /// after add_shard, before start().
-  void bind_shard_executor(ShardId id, sim::Simulator* clock,
-                           std::uintptr_t lane);
 
   /// Fault seam: stall a shard's control loop — its sweeps and dispatches
   /// are skipped until `duration` elapses (reports keep coalescing; the
@@ -193,11 +188,10 @@ class FleetManager {
     events::SubscriptionId plan_sub = 0;
     events::SubscriptionId lifecycle_sub = 0;
 
-    /// Executor binding (bind_shard_executor): the clock tenant events run
-    /// on — the control simulator for legacy fleets, the shard's private
-    /// ShardSimulator under the sharded kernel — and the SerialLane token
-    /// of that shard (0 = none). All per-shard mutation goes through
-    /// `serial`, keyed on the lane, instead of the fleet-wide serial_.
+    /// Executor (add_shard): the clock tenant events run on and the
+    /// SerialLane token of that shard (0 = none). All per-shard mutation
+    /// goes through `serial`, keyed on the lane, instead of the fleet-wide
+    /// serial_.
     sim::Simulator* clock = nullptr;
     std::uintptr_t lane = 0;
     util::SerialDomain serial;
@@ -250,8 +244,7 @@ class FleetManager {
   sim::Simulator& sim_;
   FleetManagerConfig config_;
   /// Concurrency capability: each shard's state is owned by its serial
-  /// execution context — the simulation thread for legacy fleets, the
-  /// shard's lane under the sharded kernel (windows migrate between pool
+  /// execution context — the shard's lane (windows migrate between pool
   /// workers but are serial per shard, and barrier-time work re-enters the
   /// lane). run_sweep farms the *detection* phase to the pool, but those
   /// tasks only call const ArchitectureManager::detect() on disjoint

@@ -13,10 +13,6 @@
 namespace arcadia::core {
 
 Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
-                     FrameworkConfig config)
-    : Framework(sim, testbed, std::move(config), FrameworkParts{}) {}
-
-Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
                      FrameworkConfig config, FrameworkParts parts)
     : sim_(sim),
       testbed_(testbed),
@@ -106,13 +102,11 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
   if (fault_plane_) gauge_manager_->set_fault_plane(fault_plane_.get());
 
   repair::RepairEngineConfig engine_cfg;
-  engine_cfg.policy = config_.policy;
   engine_cfg.policy_name = config_.policy_name;
   engine_cfg.damping = config_.damping;
   engine_cfg.settle_time = config_.settle_time;
   engine_cfg.abort_cooldown = config_.abort_cooldown;
   engine_cfg.use_script = config_.use_script;
-  engine_cfg.use_plan = config_.plan_pipeline;
   engine_cfg.preemption = config_.plan_preemption;
   engine_cfg.preempt_factor = config_.plan_preempt_factor;
   engine_cfg.max_server_load = config_.profile.max_server_load;
@@ -158,28 +152,18 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
   checker.instantiate(script_);
 
   // Durability plane last: every collaborator it journals for exists now.
-  // A fleet attaches its shared plane instead (attach_durability overrides
-  // this solo wiring before start()).
+  // A fleet clears config.durability and attaches a staging sink instead.
   if (config_.durability.enabled()) {
     durability_plane_ =
         std::make_unique<durability::DurabilityPlane>(config_.durability);
-    attach_durability(durability_plane_.get(), /*shard=*/0);
+    attach_journal_sink(durability_plane_.get(), /*shard=*/0);
   }
 }
 
 Framework::~Framework() = default;
 
-void Framework::attach_durability(durability::DurabilityPlane* plane,
-                                  std::uint32_t shard) {
-  durability_sink_ = plane;
-  durability_shard_ = shard;
-  engine_->set_journal_sink(plane, shard);
-  manager_->set_journal_sink(plane, shard);
-}
-
 void Framework::attach_journal_sink(durability::JournalSink* sink,
                                     std::uint32_t shard) {
-  durability_sink_ = nullptr;  // snapshots belong to whoever owns the plane
   durability_shard_ = shard;
   engine_->set_journal_sink(sink, shard);
   manager_->set_journal_sink(sink, shard);

@@ -49,20 +49,14 @@ struct FrameworkConfig {
   /// Repair-script source; empty selects repair::extended_script().
   std::string script_source;
 
-  repair::ViolationPolicy policy = repair::ViolationPolicy::FirstReported;
-  /// Registry name of the violation policy (repair::PolicyRegistry);
-  /// overrides the `policy` enum when non-empty.
-  std::string policy_name;
+  /// Registry name of the violation policy (repair::PolicyRegistry).
+  /// Built-ins: "first-reported" (the paper's experiment), "worst-first".
+  std::string policy_name = "first-reported";
   bool damping = true;
   SimTime settle_time = SimTime::seconds(30);
   SimTime abort_cooldown = SimTime::seconds(60);
   double load_improvement = 2.0;
 
-  /// Enact repairs through the staged AdaptationPlan pipeline (lifted op
-  /// records, cost-aware optimization, overlapped execution). Off = the
-  /// paper's strictly sequential record replay, kept as the measured
-  /// baseline of bench_fig11_repair_latency.
-  bool plan_pipeline = true;
   /// Let a strictly worse violation abort a plan in flight (compensating
   /// enacted steps) and start its own repair — pair with the
   /// churn-mid-repair scenario.
@@ -150,10 +144,10 @@ struct FrameworkParts {
 
 class Framework {
  public:
-  Framework(sim::Simulator& sim, sim::Testbed& testbed, FrameworkConfig config);
-  /// Assemble with substituted parts (see FrameworkBuilder).
+  /// `parts` substitutes assembly points (see FrameworkBuilder); the
+  /// default is the paper's wiring.
   Framework(sim::Simulator& sim, sim::Testbed& testbed, FrameworkConfig config,
-            FrameworkParts parts);
+            FrameworkParts parts = {});
   ~Framework();
 
   Framework(const Framework&) = delete;
@@ -176,23 +170,18 @@ class Framework {
   /// Null unless config().fault.enabled.
   fault::FaultPlane* fault_plane() { return fault_plane_.get(); }
 
-  /// The journal/snapshot plane this framework reports into, or null when
-  /// durability is off. Solo frameworks own theirs (config().durability);
-  /// fleet tenants share the Fleet's plane via attach_durability().
-  durability::DurabilityPlane* durability_plane() { return durability_sink_; }
+  /// The journal/snapshot plane this framework owns (config().durability),
+  /// or null when durability is off or the framework is a fleet tenant.
+  durability::DurabilityPlane* durability_plane() {
+    return durability_plane_.get();
+  }
 
-  /// Wire an externally-owned durability plane (the fleet's shared journal).
-  /// Every repair commit, plan event, and applied gauge fold on this
-  /// framework is journaled under `shard`. Call before start().
-  void attach_durability(durability::DurabilityPlane* plane,
-                         std::uint32_t shard);
-
-  /// Wire a bare JournalSink instead of a plane: the sharded fleet kernel
-  /// gives every tenant a per-shard durability::StagingSink (drained into
-  /// the shared plane at window barriers), so tenants never touch the
-  /// single-writer plane from pool workers. Unlike attach_durability this
-  /// leaves durability_plane() null — snapshot capture stays with the
-  /// Fleet, which owns the real plane. Call before start().
+  /// Journal every repair commit, plan event, and applied gauge fold on
+  /// this framework into `sink` under `shard`. A fleet gives every tenant a
+  /// per-shard durability::StagingSink (drained into the shared plane at
+  /// window barriers), so tenants never touch the single-writer plane from
+  /// pool workers; snapshot capture stays with the Fleet, which owns the
+  /// real plane. Call before start().
   void attach_journal_sink(durability::JournalSink* sink, std::uint32_t shard);
 
   /// Capture this framework's durable state for a snapshot: the full model
@@ -235,10 +224,10 @@ class Framework {
   std::unique_ptr<repair::RepairEngine> engine_;
   std::unique_ptr<ArchitectureManager> manager_;
   monitor::ProbeSet probes_;
-  // Durability: the owned plane (solo mode, null when config_.durability is
-  // empty or a fleet plane was attached) and the active sink (own or shared).
+  // Durability: the owned plane (solo mode; null when config_.durability is
+  // empty, as it is for fleet tenants) and the shard tag of this framework's
+  // journal records and snapshots.
   std::unique_ptr<durability::DurabilityPlane> durability_plane_;
-  durability::DurabilityPlane* durability_sink_ = nullptr;
   std::uint32_t durability_shard_ = 0;
   std::unique_ptr<sim::PeriodicTask> snapshot_task_;
   bool started_ = false;

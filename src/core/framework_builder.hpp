@@ -1,7 +1,7 @@
 // Fluent assembly of the adaptation framework from pluggable parts. The
 // default build() reproduces exactly the wiring the paper's experiment ran
-// (Framework's legacy constructor); each with_* call swaps one part or
-// config knob:
+// (Framework's constructor with default parts); each with_* call swaps one
+// part or config knob:
 //
 //   auto fw = core::FrameworkBuilder(sim, testbed)
 //                 .with_policy("worst-first")

@@ -15,7 +15,7 @@ namespace arcadia::core {
 namespace {
 
 constexpr char kManifestMagic[4] = {'A', 'R', 'C', 'M'};
-constexpr std::uint32_t kManifestVersion = 1;
+constexpr std::uint32_t kManifestVersion = 2;
 
 using durability::Decoder;
 using durability::DurabilityError;
@@ -173,13 +173,11 @@ void encode_framework(Encoder& enc, const FrameworkConfig& f) {
   enc.i64(f.profile.min_replicas);
   enc.boolean(f.use_script);
   enc.str(f.script_source);
-  enc.u8(static_cast<std::uint8_t>(f.policy));
   enc.str(f.policy_name);
   enc.boolean(f.damping);
   enc.sim_time(f.settle_time);
   enc.sim_time(f.abort_cooldown);
   enc.f64(f.load_improvement);
-  enc.boolean(f.plan_pipeline);
   enc.boolean(f.plan_preemption);
   enc.f64(f.plan_preempt_factor);
   enc.boolean(f.gauge_caching);
@@ -222,13 +220,11 @@ FrameworkConfig decode_framework(Decoder& dec) {
   f.profile.min_replicas = dec.i64();
   f.use_script = dec.boolean();
   f.script_source = dec.str();
-  f.policy = static_cast<repair::ViolationPolicy>(dec.u8());
   f.policy_name = dec.str();
   f.damping = dec.boolean();
   f.settle_time = dec.sim_time();
   f.abort_cooldown = dec.sim_time();
   f.load_improvement = dec.f64();
-  f.plan_pipeline = dec.boolean();
   f.plan_preemption = dec.boolean();
   f.plan_preempt_factor = dec.f64();
   f.gauge_caching = dec.boolean();

@@ -6,15 +6,11 @@
 //      did, or worst-first, the smarter scheme its future work proposes);
 //   2. run the bound strategy inside a model Transaction (interpreted
 //      script or native C++ strategy);
-//   3. on commit: charge decision + runtime-query time, then enact. The
-//      default pipeline lifts the committed op records into an
-//      AdaptationPlan (repair/plan.hpp), optimizes it (merged moves,
-//      batched gauge re-deployments), and enacts it asynchronously with
-//      independent steps overlapped (repair/plan_executor.hpp). The
-//      paper's strictly sequential record replay — translate every record,
-//      then re-deploy each element's gauges one after another, the step
-//      that dominates its ~30 s repair time — is kept behind
-//      `use_plan = false` as the measured baseline;
+//   3. on commit: charge decision + runtime-query time, then enact: the
+//      committed op records are lifted into an AdaptationPlan
+//      (repair/plan.hpp), optimized (merged moves, batched gauge
+//      re-deployments), and enacted asynchronously with independent steps
+//      overlapped (repair/plan_executor.hpp);
 //   4. on abort: roll the transaction back and apply a cooldown so a
 //      hopeless constraint does not spin.
 //
@@ -52,17 +48,11 @@
 
 namespace arcadia::repair {
 
-enum class ViolationPolicy {
-  FirstReported,  ///< the paper's experiment
-  WorstFirst,     ///< fix the client experiencing the worst value first
-};
-
 struct RepairEngineConfig {
-  ViolationPolicy policy = ViolationPolicy::FirstReported;
-  /// Registry name of the violation policy (PolicyRegistry); overrides the
-  /// `policy` enum when non-empty. Built-ins: "first-reported",
-  /// "worst-first".
-  std::string policy_name;
+  /// Registry name of the violation policy (PolicyRegistry). Built-ins:
+  /// "first-reported" (the paper's experiment) and "worst-first" (fix the
+  /// client experiencing the worst value first).
+  std::string policy_name = "first-reported";
   /// Strategy-evaluation cost charged before runtime ops.
   SimTime decision_cost = SimTime::millis(100);
   /// Per-element suppression after a repair completes.
@@ -73,10 +63,6 @@ struct RepairEngineConfig {
   bool damping = true;
   /// true: interpreted script strategies; false: native C++ strategies.
   bool use_script = true;
-  /// Enact through the AdaptationPlan pipeline (lift, optimize, overlap).
-  /// false selects the legacy strictly-sequential record replay — kept as
-  /// the in-bench baseline for bench_fig11_repair_latency.
-  bool use_plan = true;
   /// Allow a strictly worse violation to abort a plan in flight (remaining
   /// steps skipped, enacted steps compensated) and start its own repair.
   bool preemption = false;
@@ -137,7 +123,7 @@ struct RepairRecord {
   int servers_added = 0;
   int servers_removed = 0;
   /// Plan pipeline: steps after optimization / steps the optimizer folded
-  /// away (0 on the legacy path).
+  /// away.
   int plan_steps = 0;
   int plan_steps_merged = 0;
   /// Failure-aware enactment: transient-op retries and op timeouts this
@@ -263,13 +249,6 @@ class RepairEngine {
   void publish_plan_event(util::Symbol phase, std::size_t idx,
                           std::size_t steps);
   bool touched_by_active(util::Symbol element) const;
-  // Legacy record replay (use_plan = false).
-  void apply_committed(std::size_t idx,
-                       std::vector<model::OpRecord> op_records);
-  void redeploy_chain(std::size_t idx,
-                      std::shared_ptr<std::vector<std::string>> elements,
-                      std::size_t next, SimTime gauge_started);
-  void finish(std::size_t idx, const std::vector<std::string>& affected);
   static void summarize_ops(const std::vector<model::OpRecord>& op_records,
                             RepairRecord& record);
 

@@ -79,7 +79,8 @@ class PlanExecutor {
   /// Sum of translator costs charged so far (compensation included).
   SimTime runtime_cost() const { return runtime_cost_; }
   /// Wall-clock between the first gauge step launching and the last one
-  /// completing — the overlapped counterpart of the legacy gauge phase.
+  /// completing — the overlapped counterpart of the paper's sequential
+  /// gauge phase.
   SimTime gauge_wall() const;
 
   /// Abort the running plan (see file comment). No-op when idle.

@@ -1,5 +1,5 @@
 // FrameworkBuilder: the default assembly must be indistinguishable from
-// the legacy Framework constructor (the simulation is deterministic, so
+// constructing Framework directly (the simulation is deterministic, so
 // counts and model properties must match exactly), and every part
 // substitution must actually take effect.
 #include <gtest/gtest.h>
@@ -33,14 +33,14 @@ RunOutcome collect(sim::Simulator& sim, sim::Testbed& tb, Framework& fw) {
   return out;
 }
 
-TEST(FrameworkBuilderTest, DefaultBuildEqualsLegacyWiring) {
-  RunOutcome legacy;
+TEST(FrameworkBuilderTest, DefaultBuildEqualsDirectConstruction) {
+  RunOutcome direct;
   {
     sim::Simulator sim;
     sim::Testbed tb = sim::build_scenario(sim, "paper-fig6");
     Framework fw(sim, tb, FrameworkConfig{});
     fw.start();
-    legacy = collect(sim, tb, fw);
+    direct = collect(sim, tb, fw);
   }
   RunOutcome built;
   {
@@ -49,11 +49,11 @@ TEST(FrameworkBuilderTest, DefaultBuildEqualsLegacyWiring) {
     auto fw = FrameworkBuilder(sim, tb).build_started();
     built = collect(sim, tb, *fw);
   }
-  EXPECT_EQ(built.completed, legacy.completed);
-  EXPECT_EQ(built.gauges, legacy.gauges);
-  EXPECT_EQ(built.reports_applied, legacy.reports_applied);
-  EXPECT_EQ(built.repairs, legacy.repairs);
-  EXPECT_DOUBLE_EQ(built.user1_latency, legacy.user1_latency);
+  EXPECT_EQ(built.completed, direct.completed);
+  EXPECT_EQ(built.gauges, direct.gauges);
+  EXPECT_EQ(built.reports_applied, direct.reports_applied);
+  EXPECT_EQ(built.repairs, direct.repairs);
+  EXPECT_DOUBLE_EQ(built.user1_latency, direct.user1_latency);
   EXPECT_GT(built.completed, 0u);
   EXPECT_GT(built.reports_applied, 0u);
 }

@@ -487,7 +487,7 @@ TEST(FleetHealthTest, SilenceWalksHealthyToQuarantinedAndBack) {
   cfg.quarantine_after = SimTime::seconds(30);
   cfg.recovery_observation = SimTime::seconds(10);
   core::FleetManager fleet(rig.sim, cfg);
-  fleet.add_shard("t1", *rig.manager, rig.bus);
+  fleet.add_shard("t1", *rig.manager, rig.bus, rig.sim, 0);
   fleet.start();
 
   std::vector<std::string> states;  // lifecycle tape from the shard's bus
@@ -545,7 +545,7 @@ TEST(FleetHealthTest, RecoveringShardRelapsesOnRenewedSilence) {
   cfg.quarantine_after = SimTime::seconds(30);
   cfg.recovery_observation = SimTime::seconds(20);
   core::FleetManager fleet(rig.sim, cfg);
-  fleet.add_shard("t1", *rig.manager, rig.bus);
+  fleet.add_shard("t1", *rig.manager, rig.bus, rig.sim, 0);
   fleet.start();
 
   auto at = [&](double t, std::function<void()> fn) {
@@ -574,7 +574,7 @@ TEST(FleetHealthTest, StalledShardSkipsSweepsUntilWindowEnds) {
   cfg.first_check = SimTime::seconds(1e6);
   cfg.health_tracking = false;  // isolate the stall seam from the FSM
   core::FleetManager fleet(rig.sim, cfg);
-  fleet.add_shard("t1", *rig.manager, rig.bus);
+  fleet.add_shard("t1", *rig.manager, rig.bus, rig.sim, 0);
   fleet.start();
 
   auto at = [&](double t, std::function<void()> fn) {
@@ -679,7 +679,7 @@ struct FleetFaultFingerprint {
 };
 
 FleetFaultFingerprint run_faulted_fleet(std::size_t sweep_threads,
-                                        std::size_t sim_threads = 0) {
+                                        std::size_t sim_threads = 1) {
   sim::Simulator sim;
   core::FleetOptions opt;
   opt.scenario = "fleet-4x16";
@@ -702,19 +702,16 @@ FleetFaultFingerprint run_faulted_fleet(std::size_t sweep_threads,
   opt.config.fault.repair.op_transient = 0.10;
   opt.manager.sweep_threads = sweep_threads;
   opt.manager.coalesce_window = SimTime::millis(500);
-  opt.sim_threads = sim_threads;  // 0 = legacy shared simulator
+  opt.sim_threads = sim_threads;
   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(320));
 
   FleetFaultFingerprint fp;
-  fp.events = sim.executed();
-  if (fleet->coordinator()) {
-    fp.events += fleet->coordinator()->stats().shard_events;
-  }
+  fp.events = sim.executed() + fleet->coordinator()->stats().shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
     core::FleetTenant& tenant = fleet->tenant(t);
-    util::SerialLane in_lane(tenant.lane());  // no-op on the legacy kernel
+    util::SerialLane in_lane(tenant.lane());
     std::vector<std::tuple<std::string, std::string, double>> rs;
     for (const repair::RepairRecord& r :
          tenant.framework->engine().records()) {

@@ -66,7 +66,7 @@ TEST(FleetManagerTest, CoalescesReportsWithinWindow) {
   cfg.coalesce_window = SimTime::millis(500);
   cfg.first_check = SimTime::seconds(1e6);  // sweeps driven manually
   core::FleetManager fleet(sim, cfg);
-  fleet.add_shard("t1", *rig.manager, rig.bus);
+  fleet.add_shard("t1", *rig.manager, rig.bus, sim, 0);
   fleet.start();
 
   rig.bus.publish(gauge_report("User1", "averageLatency", 5.0));
@@ -95,7 +95,7 @@ TEST(FleetManagerTest, ZeroWindowAppliesOnDelivery) {
   cfg.coalesce_window = SimTime::zero();
   cfg.first_check = SimTime::seconds(1e6);
   core::FleetManager fleet(sim, cfg);
-  fleet.add_shard("t1", *rig.manager, rig.bus);
+  fleet.add_shard("t1", *rig.manager, rig.bus, sim, 0);
   fleet.start();
 
   rig.bus.publish(gauge_report("User1", "averageLatency", 3.5));
@@ -117,7 +117,7 @@ TEST(FleetManagerTest, DeadBandKeepsQuietShardsClean) {
   cfg.first_check = SimTime::seconds(1e6);
   cfg.sweep_threads = 1;
   core::FleetManager fleet(sim, cfg);
-  fleet.add_shard("t1", *rig.manager, rig.bus);
+  fleet.add_shard("t1", *rig.manager, rig.bus, sim, 0);
   fleet.start();
 
   rig.bus.publish(gauge_report("User1", "averageLatency", 1.25));
@@ -152,8 +152,8 @@ TEST(FleetManagerTest, SkipsCleanShardsAndKeepsCachedVerdicts) {
   cfg.first_check = SimTime::seconds(1e6);
   cfg.sweep_threads = 1;
   core::FleetManager fleet(sim, cfg);
-  fleet.add_shard("hot", *hot.manager, hot.bus);
-  fleet.add_shard("cold", *cold.manager, cold.bus);
+  fleet.add_shard("hot", *hot.manager, hot.bus, sim, 0);
+  fleet.add_shard("cold", *cold.manager, cold.bus, sim, 0);
   fleet.start();
 
   // Shard "hot" goes into violation; "cold" stays quiet.
@@ -196,7 +196,7 @@ struct FleetFingerprint {
 };
 
 FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
-                           std::size_t sim_threads = 0) {
+                           std::size_t sim_threads = 1) {
   sim::Simulator sim;
   core::FleetOptions opt;
   opt.scenario = "fleet-4x16";
@@ -216,20 +216,16 @@ FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
   opt.config.fleet.phase_shift = SimTime::seconds(30);
   opt.manager.sweep_threads = sweep_threads;
   opt.manager.coalesce_window = coalesce;
-  opt.sim_threads = sim_threads;  // 0 = legacy shared simulator
+  opt.sim_threads = sim_threads;
   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(320));
 
   FleetFingerprint fp;
-  fp.events = sim.executed();
-  if (fleet->coordinator()) {
-    fp.events += fleet->coordinator()->stats().shard_events;
-  }
+  fp.events = sim.executed() + fleet->coordinator()->stats().shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
     core::FleetTenant& tenant = fleet->tenant(t);
-    // Fingerprinting reads shard state; enter the tenant's lane (a no-op
-    // under the legacy kernel, where lane() is 0).
+    // Fingerprinting reads shard state; enter the tenant's lane.
     util::SerialLane in_lane(tenant.lane());
     std::vector<std::tuple<std::string, std::string, std::string, double>> rs;
     for (const repair::RepairRecord& r : tenant.framework->engine().records()) {
@@ -265,10 +261,7 @@ TEST(FleetDeterminismTest, IdenticalRepairSequencesForThreadCounts1AndN) {
 TEST(FleetDeterminismTest, ShardedKernelBitIdenticalFor1AndNSimThreads) {
   // The sharded-kernel oracle: per-tenant sub-simulators advanced in
   // conservative time windows must replay bit-identically whether the
-  // windows execute on one worker thread or four. The baseline is
-  // sharded-with-1-thread, not the legacy kernel — legacy interleaves all
-  // tenants on one global event sequence, which is a different (equally
-  // deterministic) schedule.
+  // windows execute on one worker thread or four.
   FleetFingerprint one = run_fleet(2, SimTime::millis(500), 1);
   FleetFingerprint four = run_fleet(2, SimTime::millis(500), 4);
   EXPECT_EQ(one.events, four.events);
@@ -280,6 +273,14 @@ TEST(FleetDeterminismTest, ShardedKernelBitIdenticalFor1AndNSimThreads) {
   // Vacuity guards: the sharded run really adapted.
   EXPECT_GT(one.repairs_total, 0u);
   EXPECT_GT(one.reports_applied, 0u);
+}
+
+TEST(FleetOptionsTest, ZeroSimThreadsIsRejected) {
+  sim::Simulator sim;
+  core::FleetOptions opt;
+  opt.tenants = 1;
+  opt.sim_threads = 0;
+  EXPECT_THROW(core::FrameworkBuilder::build_fleet(sim, opt), Error);
 }
 
 TEST(FleetDeterminismTest, BatchingDoesNotChangeRepairDecisions) {

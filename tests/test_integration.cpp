@@ -91,16 +91,17 @@ TEST(IntegrationTest, AdaptationBeatsControl) {
 }
 
 TEST(IntegrationTest, RepairsTakeAboutThirtySeconds) {
-  // This pins the PAPER's repair shape, so it runs the legacy strictly
-  // sequential replay; the plan pipeline intentionally beats these numbers
-  // (see PlanPipelineShortensRepairs below and bench_fig11_repair_latency).
+  // The paper's repair shape (Section 5.3): ~30 s per repair, dominated by
+  // gauge communication. A committed repair that moves no client
+  // re-deploys the gauges of one element, whose command channel keeps the
+  // calibrated ~30 s cost (DESIGN.md §3d); merged moves overlap two
+  // elements and are checked separately below.
   ExperimentOptions opt = short_options();
   opt.adaptation = true;
-  opt.framework.plan_pipeline = false;
   ExperimentResult r = run_experiment(opt);
   int counted = 0;
   for (const auto& rec : r.repairs) {
-    if (!rec.committed || !rec.finished) continue;
+    if (!rec.committed || !rec.finished || rec.moves != 0) continue;
     ++counted;
     EXPECT_GT(rec.duration().as_seconds(), 20.0);
     EXPECT_LT(rec.duration().as_seconds(), 45.0);
@@ -111,32 +112,30 @@ TEST(IntegrationTest, RepairsTakeAboutThirtySeconds) {
 }
 
 TEST(IntegrationTest, PlanPipelineShortensRepairs) {
-  // Same experiment, staged-plan enactment (the default): batched gauge
-  // re-deployments overlap across elements, so a committed repair's
-  // end-to-end time drops well under the sequential baseline's ~30 s.
+  // A move disturbs two gauge elements; the optimizer batches their
+  // re-deployments onto independent command channels, so a merged move
+  // repair costs one element's channel split across both (~15 s) instead
+  // of the paper's sequential chain. Single-element repairs keep the full
+  // ~30 s channel, so moves must finish well under them.
   ExperimentOptions opt = short_options();
   opt.adaptation = true;
   ExperimentResult r = run_experiment(opt);
-  auto mean_repair = [](const ExperimentResult& res) {
-    double sum = 0.0;
-    int n = 0;
-    for (const auto& rec : res.repairs) {
-      if (rec.committed && rec.finished) {
-        sum += rec.duration().as_seconds();
-        ++n;
-      }
+  double move_sum = 0.0, single_sum = 0.0;
+  int moves = 0, singles = 0;
+  for (const auto& rec : r.repairs) {
+    if (!rec.committed || !rec.finished) continue;
+    if (rec.moves > 0) {
+      EXPECT_GT(rec.plan_steps_merged, 0) << "move repair #" << rec.id;
+      move_sum += rec.duration().as_seconds();
+      ++moves;
+    } else {
+      single_sum += rec.duration().as_seconds();
+      ++singles;
     }
-    return n ? sum / n : 0.0;
-  };
-  const double plan_mean = mean_repair(r);
-  EXPECT_GT(plan_mean, 0.0);
-
-  opt.framework.plan_pipeline = false;
-  const double legacy_mean = mean_repair(run_experiment(opt));
-  // Move repairs disturb two gauge elements and halve (15 s vs 30 s);
-  // single-element repairs keep their per-element command channel, so the
-  // mean lands clearly under the baseline without collapsing to half.
-  EXPECT_LT(plan_mean, legacy_mean * 0.9);
+  }
+  ASSERT_GT(moves, 0);
+  ASSERT_GT(singles, 0);
+  EXPECT_LT(move_sum / moves, 0.75 * (single_sum / singles));
   EXPECT_TRUE(r.consistency_issues.empty());
 }
 
@@ -237,7 +236,7 @@ TEST(IntegrationTest, MonitoringQosDoesNotBreakLoop) {
 TEST(IntegrationTest, WorstFirstPolicyRuns) {
   ExperimentOptions opt = short_options();
   opt.adaptation = true;
-  opt.framework.policy = repair::ViolationPolicy::WorstFirst;
+  opt.framework.policy_name = "worst-first";
   ExperimentResult r = run_experiment(opt);
   EXPECT_FALSE(r.repairs.empty());
   EXPECT_LT(r.mean_fraction_above(), 0.35);

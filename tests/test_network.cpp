@@ -3,7 +3,7 @@
 #include <numeric>
 
 #include "sim/network.hpp"
-#include "util/rng.hpp"
+#include "util/deterministic_rng.hpp"
 
 namespace arcadia::sim {
 namespace {

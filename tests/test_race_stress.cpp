@@ -236,7 +236,7 @@ TEST(RaceStressTest, FleetParallelSweepUnderReportLoad) {
   core::FleetManager fleet(sim, cfg);
   for (int s = 0; s < kShards; ++s) {
     fleet.add_shard("tenant" + std::to_string(s), *rigs[s]->manager,
-                    rigs[s]->bus);
+                    rigs[s]->bus, sim, 0);
   }
   fleet.start();
 

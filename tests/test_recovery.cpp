@@ -10,6 +10,7 @@
 // compresses them so the stress windows still force repairs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/fleet.hpp"
 #include "core/framework_builder.hpp"
 #include "core/recovery.hpp"
+#include "durability/codec.hpp"
 #include "durability/io.hpp"
 #include "durability/journal.hpp"
 #include "fault/crash_plan.hpp"
@@ -102,6 +104,37 @@ TEST(ManifestTest, MissingAndCorruptManifestsRefuseLoudly) {
   bytes[bytes.size() / 2] ^= 0xFF;  // CRC catches a flipped config byte
   durability::write_file_atomic(dir + "/" + kManifestFile, bytes);
   EXPECT_THROW(read_manifest(dir), durability::DurabilityError);
+}
+
+TEST(ManifestTest, OlderManifestVersionIsRefused) {
+  // A version-1 manifest still carries fields the current codec no longer
+  // reads; decoding it would misalign every later field. The header's
+  // version must stop it first — with a valid CRC, so that is what throws.
+  const std::string dir = scratch_dir("old-manifest");
+  Manifest m;
+  m.scenario = "grid-4x16";
+  m.config = sim::scenario_defaults("grid-4x16");
+  write_manifest(dir, m);
+  const std::string path = dir + "/" + kManifestFile;
+  std::vector<std::uint8_t> bytes = durability::read_file(path);
+  durability::Encoder version;
+  version.u32(1);
+  std::copy(version.bytes().begin(), version.bytes().end(),
+            bytes.begin() + 4);  // after the "ARCM" magic
+  bytes.resize(bytes.size() - 4);
+  durability::Encoder crc;
+  crc.u32(durability::crc32(bytes.data(), bytes.size()));
+  bytes.insert(bytes.end(), crc.bytes().begin(), crc.bytes().end());
+  durability::write_file_atomic(path, bytes);
+
+  try {
+    read_manifest(dir);
+    FAIL() << "a version-1 manifest was decoded";
+  } catch (const durability::DurabilityError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported manifest version 1:"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- the recovery property ----------------------------------------------
@@ -203,7 +236,7 @@ std::vector<std::uint8_t> run_durable_fleet(int sweep_threads,
   opt.manager.coalesce_window = SimTime::seconds(1);
   opt.manager.sweep_threads = sweep_threads;
   opt.coordinated = true;
-  opt.sim_threads = sim_threads;  // 0 = legacy shared simulator
+  opt.sim_threads = sim_threads;
   opt.durability.dir = scratch_dir(dir);
   auto fleet = FrameworkBuilder::build_fleet(sim, opt);
   fleet->start();
@@ -214,8 +247,8 @@ std::vector<std::uint8_t> run_durable_fleet(int sweep_threads,
 }
 
 TEST(FleetDurabilityTest, JournalBytesIdenticalAcrossSweepThreads) {
-  const auto serial = run_durable_fleet(1, 0, "fleet-t1");
-  const auto parallel = run_durable_fleet(4, 0, "fleet-t4");
+  const auto serial = run_durable_fleet(1, 1, "fleet-t1");
+  const auto parallel = run_durable_fleet(4, 1, "fleet-t4");
   ASSERT_GT(serial.size(), durability::kJournalHeaderSize);
   EXPECT_EQ(serial, parallel)
       << "shared journal bytes depend on sweep-thread count — the ordered-"
